@@ -51,7 +51,7 @@ const (
 func Exec(cfg Config) error {
 	w := cfg.out()
 	fmt.Fprintf(w, "\n== Execution: vectorized columnar engine vs row engine, adaptive re-optimization ==\n")
-	fmt.Fprintf(w, "Claim: batched column-at-a-time hashing and gather-based materialization beat\n")
+	fmt.Fprintf(w, "Claim: batched hash joins over late-materialized row-id vectors beat\n")
 	fmt.Fprintf(w, "tuple-at-a-time interpretation on the same plan and data, and mid-query\n")
 	fmt.Fprintf(w, "re-optimization shrinks intermediate results when estimates lie.\n\n")
 

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -130,9 +131,7 @@ func SynthesizeRand(cards []float64, g *joingraph.Graph, rng *rand.Rand) (*Insta
 			for _, ri := range []int{e.A, e.B} {
 				rel := inst.Relations[ri]
 				vals := make([]int64, rel.Rows())
-				for r := range vals {
-					vals[r] = rng.Int63n(domain)
-				}
+				fillUniform(vals, domain, rng)
 				if err := rel.AddCol(col, vals); err != nil {
 					return nil, err
 				}
@@ -140,6 +139,40 @@ func SynthesizeRand(cards []float64, g *joingraph.Graph, rng *rand.Rand) (*Insta
 		}
 	}
 	return inst, nil
+}
+
+// fillUniform sets every vals[i] to rng.Int63n(d), bit for bit: the same
+// Int63 draws and the same rejection bound, but the 64-bit division behind
+// v % d is replaced by a Barrett reduction — m = ⌊2⁶⁴/d⌋ once per column,
+// then one high multiply and at most one correcting subtract per value.
+// Powers of two keep Int63n's mask; d ≤ 0 panics inside Int63n as before.
+func fillUniform(vals []int64, d int64, rng *rand.Rand) {
+	switch {
+	case d <= 0:
+		for i := range vals {
+			vals[i] = rng.Int63n(d)
+		}
+	case d&(d-1) == 0:
+		for i := range vals {
+			vals[i] = rng.Int63() & (d - 1)
+		}
+	default:
+		ud := uint64(d)
+		bound := int64((1 << 63) - 1 - (1<<63)%ud)
+		m, _ := bits.Div64(1, 0, ud)
+		for i := range vals {
+			v := rng.Int63()
+			for v > bound {
+				v = rng.Int63()
+			}
+			q, _ := bits.Mul64(uint64(v), m)
+			r := uint64(v) - q*ud
+			if r >= ud {
+				r -= ud
+			}
+			vals[i] = int64(r)
+		}
+	}
 }
 
 // Batch is an intermediate result: a bag of tuples over a set of columns.

@@ -1,10 +1,13 @@
 // Package exec is the columnar execution runtime: the vectorized counterpart
 // of internal/engine's row-at-a-time executor. It runs the same bushy plan
 // trees over the same synthesized instances (engine.Instance stays the data
-// layer) but stores intermediate results column-major, joins with a presized
-// bucket-chained hash table probed in bounded batches, filters residual
-// predicates through selection vectors, and materializes output by gathering
-// match-index vectors — no per-row allocations, no string keys.
+// layer) but materializes late: an intermediate result is one row-id vector
+// per base relation, and a join reads only the key columns its own
+// predicates need. Joins use a presized bucket-chained hash table probed in
+// bounded batches (with a one-multiply kernel for single-key joins), filter
+// residual predicates through selection vectors, and emit match-index
+// vectors into scratch reused across the run — no per-row allocations, no
+// string keys. Column values are gathered only when Table.Column asks.
 //
 // The package has two drivers. Run executes a plan statically. RunAdaptive
 // (adaptive.go) executes bottom-up while comparing observed intermediate
@@ -13,13 +16,15 @@
 // caller-supplied ReoptFunc and splices the new subplan in (plan.Splice).
 //
 // Row-count semantics are bit-equal to internal/engine under every algorithm
-// — check.ExecutionAgree and FuzzExecVectorized enforce the equivalence.
+// — check.ExecutionAgree and FuzzExecVectorized enforce the equivalence, and
+// TestRunTuplesMatchRowEngine checks the result tuples themselves.
 package exec
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"blitzsplit/internal/bitset"
@@ -48,13 +53,20 @@ type ColID struct {
 	Name string
 }
 
-// Table is a column-major intermediate result. Leaf tables alias the
-// instance's relation columns (zero copy); join outputs own freshly gathered
-// columns.
+// Table is a late-materialized intermediate result: one row-id vector per
+// base relation in its set, each indexing that relation's columns. A leaf
+// table carries no vectors (the identity) and copies nothing; a join output
+// carries one int32 vector per member relation. Column values are gathered
+// only on demand, so a join moves row ids and its own key columns, never
+// whole tuples.
 type Table struct {
-	ids  []ColID
-	cols [][]int64
-	idx  map[ColID]int
+	rels []*engine.Relation
+	set  bitset.Set
+	// ids holds the row-id vectors back to back, rows entries per member of
+	// set in ascending relation order; nil means a leaf scan, whose row ids
+	// are 0..rows-1. Join outputs always carry a non-nil slab, even an
+	// empty one.
+	ids  []int32
 	rows int
 }
 
@@ -62,21 +74,35 @@ type Table struct {
 func (t *Table) Rows() int { return t.rows }
 
 // Column returns the values of the identified column and whether it exists.
-// The slice is the table's storage — callers must not mutate it.
+// A leaf table returns the instance's own storage, a join output a freshly
+// gathered copy; callers must not mutate either.
 func (t *Table) Column(id ColID) ([]int64, bool) {
-	i, ok := t.idx[id]
+	if id.Rel < 0 || id.Rel >= len(t.rels) || !t.set.Has(id.Rel) {
+		return nil, false
+	}
+	col, ok := t.rels[id.Rel].Cols[id.Name]
 	if !ok {
 		return nil, false
 	}
-	return t.cols[i], true
+	if t.ids == nil {
+		return col, true
+	}
+	rid := t.rowIDs(id.Rel)
+	out := make([]int64, len(rid))
+	for k, r := range rid {
+		out[k] = col[r]
+	}
+	return out, true
 }
 
-func newTable(ids []ColID, cols [][]int64, rows int) *Table {
-	t := &Table{ids: ids, cols: cols, idx: make(map[ColID]int, len(ids)), rows: rows}
-	for i, id := range ids {
-		t.idx[id] = i
+// rowIDs returns the row-id vector of member relation rel, or nil when the
+// table is a leaf scan (identity).
+func (t *Table) rowIDs(rel int) []int32 {
+	if t.ids == nil {
+		return nil
 	}
-	return t
+	k := (t.set & (bitset.Single(rel) - 1)).Count()
+	return t.ids[k*t.rows : (k+1)*t.rows]
 }
 
 // Options configures execution. The zero value matches the row engine's
@@ -145,7 +171,7 @@ type Stats struct {
 
 // Result is one finished execution.
 type Result struct {
-	// Rows is the final cardinality; Table the materialized result.
+	// Rows is the final cardinality; Table the late-materialized result.
 	Rows  int64
 	Table *Table
 	// Stats instruments the run. Plan is the tree actually executed — it
@@ -156,34 +182,41 @@ type Result struct {
 	Events []ReoptEvent
 }
 
-// pred is one resolved equi-join predicate: the two column vectors to
-// compare, already looked up so join inner loops touch no maps.
+// pred is one resolved equi-join predicate: the two key vectors to compare,
+// aligned row for row with the join's left and right inputs, so join inner
+// loops touch no maps and no row-id indirection.
 type pred struct {
 	l, r []int64
 }
 
-// edgePred is a graph edge with its join-column name resolved once per
+// edgePred is a graph edge with both base join columns resolved once per
 // execution, so per-node predicate resolution is a scan over E edges with no
-// string formatting — the vectorized analogue of the row engine's
-// predScratch.
+// map lookups or string formatting — the vectorized analogue of the row
+// engine's predScratch.
 type edgePred struct {
-	a, b int
-	col  string
-	sel  float64
+	a, b   int
+	ca, cb []int64
 }
 
-// executor carries one execution's scratch: resolved edges, the predicate
-// slice, hash and selection buffers, and match-index vectors, all reused
-// across join nodes.
+// executor carries one execution's scratch, all reused across join nodes:
+// resolved edges, the predicate slice, gathered key columns, the hash
+// table's slot heads and chain links, the selection vector, sort
+// permutations, and the match-index vectors.
 type executor struct {
 	inst    *engine.Instance
 	opts    Options
 	batch   int
 	maxRows int
 	edges   []edgePred
+	leaves  []Table
 	preds   []pred
+	keys    [][]int64
 	hbuf    []uint64
+	heads   []int32
+	next    []int32
 	sel     []int32
+	lperm   []int32
+	rperm   []int32
 	lidx    []int32
 	ridx    []int32
 	stats   Stats
@@ -193,20 +226,30 @@ func newExecutor(inst *engine.Instance, opts Options) (*executor, error) {
 	if inst == nil {
 		return nil, errors.New("exec: nil instance")
 	}
-	x := &executor{inst: inst, opts: opts, batch: opts.batchSize(), maxRows: opts.maxRows()}
+	x := &executor{inst: inst, opts: opts, batch: opts.batchSize(), maxRows: opts.maxRows(),
+		leaves: make([]Table, len(inst.Relations))}
 	if g := inst.Graph; g != nil {
+		rels := inst.Relations
 		edges := g.Edges()
-		x.edges = make([]edgePred, len(edges))
-		for i, e := range edges {
-			x.edges[i] = edgePred{a: e.A, b: e.B, col: engine.JoinColumn(e.A, e.B), sel: e.Selectivity}
+		x.edges = make([]edgePred, 0, len(edges))
+		for _, e := range edges {
+			if e.A >= len(rels) || e.B >= len(rels) {
+				continue
+			}
+			col := engine.JoinColumn(e.A, e.B)
+			ca, aok := rels[e.A].Cols[col]
+			cb, bok := rels[e.B].Cols[col]
+			if aok && bok {
+				x.edges = append(x.edges, edgePred{a: e.A, b: e.B, ca: ca, cb: cb})
+			}
 		}
 	}
 	return x, nil
 }
 
-// Run executes a plan tree against the instance and returns the materialized
-// result. Execution is bottom-up and static; see RunAdaptive for the
-// re-optimizing driver.
+// Run executes a plan tree against the instance and returns the result.
+// Execution is bottom-up and static; see RunAdaptive for the re-optimizing
+// driver.
 func Run(inst *engine.Instance, p *plan.Node, opts Options) (*Result, error) {
 	x, err := newExecutor(inst, opts)
 	if err != nil {
@@ -268,59 +311,56 @@ func (x *executor) node(p *plan.Node) (*Table, error) {
 	return x.join(p, left, right)
 }
 
-// scan materializes a leaf as zero-copy views over the relation's columns.
+// scan opens a leaf: a table over the relation's rows with no row-id
+// vector, so nothing is copied.
 func (x *executor) scan(p *plan.Node) (*Table, error) {
 	if p.Rel < 0 || p.Rel >= len(x.inst.Relations) {
 		return nil, fmt.Errorf("exec: plan references unknown relation %d", p.Rel)
 	}
 	start := time.Now()
-	rel := x.inst.Relations[p.Rel]
-	names := rel.ColNames()
-	ids := make([]ColID, len(names))
-	cols := make([][]int64, len(names))
-	for i, n := range names {
-		ids[i] = ColID{Rel: p.Rel, Name: n}
-		cols[i] = rel.Cols[n]
-	}
-	t := newTable(ids, cols, rel.Rows())
-	x.record("scan", p, t, start)
+	t := &x.leaves[p.Rel]
+	*t = Table{rels: x.inst.Relations, set: bitset.Single(p.Rel), rows: x.inst.Relations[p.Rel].Rows()}
+	x.record("scan", p, t, start, 0)
 	return t, nil
 }
 
-// join executes one join node over already-materialized children.
+// join executes one join node over its already-executed children.
 func (x *executor) join(p *plan.Node, left, right *Table) (*Table, error) {
 	start := time.Now()
-	preds := x.spanning(left, right, p.Left.Set, p.Right.Set)
+	batches := x.stats.Batches
+	preds := x.spanning(left, right)
 	alg := x.opts.Algorithm
 	if x.opts.UsePlanAlgorithms && p.Algorithm != "" {
 		alg = engine.AlgorithmByName(p.Algorithm)
 	}
 	var (
-		out  *Table
 		kind string
 		err  error
 	)
 	switch {
 	case len(preds) == 0 || alg == engine.NestedLoopsAlg:
 		kind = "nestedloops"
-		out, err = x.nestedLoops(left, right, preds)
+		err = x.nestedLoops(left, right, preds)
 	case alg == engine.SortMergeAlg:
 		kind = "sortmerge"
-		out, err = x.sortMerge(left, right, preds)
+		err = x.sortMerge(preds)
 	default:
 		kind = "hash"
-		out, err = x.hashJoin(left, right, preds)
+		err = x.hashJoin(left, right, preds)
 	}
 	if err != nil {
 		return nil, err
 	}
+	out := x.output(left, right)
 	x.stats.Joins++
 	x.stats.IntermediateRows += int64(out.rows)
-	x.record(kind, p, out, start)
+	x.record(kind, p, out, start, x.stats.Batches-batches)
 	return out, nil
 }
 
-func (x *executor) record(kind string, p *plan.Node, t *Table, start time.Time) {
+// record appends one operator's entry under CollectOps; batches is the
+// operator's own batch count, not the running total.
+func (x *executor) record(kind string, p *plan.Node, t *Table, start time.Time, batches int64) {
 	if !x.opts.CollectOps {
 		return
 	}
@@ -329,169 +369,245 @@ func (x *executor) record(kind string, p *plan.Node, t *Table, start time.Time) 
 		Set:       p.Set,
 		Rows:      int64(t.rows),
 		Estimated: p.Card,
-		Batches:   x.stats.Batches,
+		Batches:   batches,
 		Nanos:     time.Since(start).Nanoseconds(),
 	})
 }
 
-// spanning resolves the predicates crossing the (left, right) relation sets
-// into column-vector pairs, reusing the executor's scratch slice. One pass
-// over the pre-resolved edge list — no graph walks, no name formatting.
-func (x *executor) spanning(left, right *Table, lset, rset bitset.Set) []pred {
+// spanning resolves the predicates crossing the (left, right) inputs into
+// key-vector pairs, reusing the executor's scratch. One pass over the
+// pre-resolved edge list; a leaf side uses the base column as is, a join
+// side gathers the key through its row ids.
+func (x *executor) spanning(left, right *Table) []pred {
 	x.preds = x.preds[:0]
 	for _, e := range x.edges {
-		var lid, rid ColID
+		var lrel, rrel int
+		var lcol, rcol []int64
 		switch {
-		case lset.Has(e.a) && rset.Has(e.b):
-			lid, rid = ColID{e.a, e.col}, ColID{e.b, e.col}
-		case lset.Has(e.b) && rset.Has(e.a):
-			lid, rid = ColID{e.b, e.col}, ColID{e.a, e.col}
+		case left.set.Has(e.a) && right.set.Has(e.b):
+			lrel, lcol, rrel, rcol = e.a, e.ca, e.b, e.cb
+		case left.set.Has(e.b) && right.set.Has(e.a):
+			lrel, lcol, rrel, rcol = e.b, e.cb, e.a, e.ca
 		default:
 			continue
 		}
-		lc, lok := left.Column(lid)
-		rc, rok := right.Column(rid)
-		if lok && rok {
-			x.preds = append(x.preds, pred{l: lc, r: rc})
-		}
+		slot := 2 * len(x.preds)
+		x.preds = append(x.preds, pred{
+			l: x.key(left, lrel, lcol, slot),
+			r: x.key(right, rrel, rcol, slot+1),
+		})
 	}
 	return x.preds
+}
+
+// key returns base column col of member relation rel aligned with t's rows:
+// the column itself for a leaf, else a gather through t's row ids into
+// scratch buffer slot.
+func (x *executor) key(t *Table, rel int, col []int64, slot int) []int64 {
+	if t.ids == nil {
+		return col
+	}
+	for len(x.keys) <= slot {
+		x.keys = append(x.keys, nil)
+	}
+	rid := t.rowIDs(rel)
+	buf := x.keys[slot]
+	if cap(buf) < len(rid) {
+		buf = make([]int64, len(rid))
+	}
+	buf = buf[:len(rid)]
+	for k, r := range rid {
+		buf[k] = col[r]
+	}
+	x.keys[slot] = buf
+	return buf
 }
 
 // appendPair records one (left-row, right-row) match, enforcing the row
 // limit with the engine's strictly-greater semantics.
 func (x *executor) appendPair(l, r int32) error {
-	x.lidx = append(x.lidx, l)
-	x.ridx = append(x.ridx, r)
-	if len(x.lidx) > x.maxRows {
+	if len(x.lidx) >= x.maxRows {
 		return engine.ErrRowLimit
 	}
+	x.lidx = append(x.lidx, l)
+	x.ridx = append(x.ridx, r)
 	return nil
 }
 
-// gather materializes the accumulated match-index vectors into a fresh
-// column-major table: every output column is one tight gather loop.
-func (x *executor) gather(left, right *Table) *Table {
+// output turns the accumulated match-index vectors into the join's result:
+// one row-id vector per member relation, gathered from the input it came
+// from, all in one slab. No column value is read.
+func (x *executor) output(left, right *Table) *Table {
 	n := len(x.lidx)
-	ids := make([]ColID, 0, len(left.ids)+len(right.ids))
-	ids = append(ids, left.ids...)
-	ids = append(ids, right.ids...)
-	cols := make([][]int64, 0, len(ids))
-	for _, src := range left.cols {
-		dst := make([]int64, n)
-		for k, idx := range x.lidx {
-			dst[k] = src[idx]
+	set := left.set | right.set
+	ids := make([]int32, n*set.Count())
+	for k, s := 0, set; s != 0; k, s = k+1, s&(s-1) {
+		rel := s.Min()
+		dst := ids[k*n : (k+1)*n]
+		if left.set.Has(rel) {
+			gatherIDs(dst, left, rel, x.lidx)
+		} else {
+			gatherIDs(dst, right, rel, x.ridx)
 		}
-		cols = append(cols, dst)
 	}
-	for _, src := range right.cols {
-		dst := make([]int64, n)
-		for k, idx := range x.ridx {
-			dst[k] = src[idx]
-		}
-		cols = append(cols, dst)
-	}
-	return newTable(ids, cols, n)
+	return &Table{rels: x.inst.Relations, set: set, ids: ids, rows: n}
 }
 
-// hashes computes one 64-bit hash per row of cols[lo:hi], column at a time,
-// into the executor's reusable buffer.
+// gatherIDs writes member rel's row id for each input row in idx.
+func gatherIDs(dst []int32, t *Table, rel int, idx []int32) {
+	if t.ids == nil {
+		copy(dst, idx)
+		return
+	}
+	src := t.rowIDs(rel)
+	for k, i := range idx {
+		dst[k] = src[i]
+	}
+}
+
+// hashMul is the 64-bit golden-ratio multiplier of Fibonacci hashing: the
+// top bits of key·hashMul pick the slot.
+const hashMul = 0x9E3779B97F4A7C15
+
+// sparseSlots caps the slot count hashTable grows to beyond its 2n floor.
+const sparseSlots = 1 << 20
+
+// hashTable readies the reused slot heads and chain links for n build rows:
+// a power-of-two slot count, all empty, and the shift that maps a 64-bit
+// hash onto it. The table gets at least 2n slots and, up to sparseSlots
+// (4 MiB of heads), 8n: every chain entry a probe walks past costs a cache
+// miss, and the sparser table all but removes them: on key joins of
+// 2k–20k rows it took about a fifth off exec.Run. Heads and links hold
+// row+1, so 0 ends a chain and emptying the table is one clear.
+func (x *executor) hashTable(n int) (heads, next []int32, shift uint) {
+	bits := uint(1)
+	for 1<<bits < 2*n || (1<<bits < 8*n && 1<<bits < sparseSlots) {
+		bits++
+	}
+	size := 1 << bits
+	if cap(x.heads) < size {
+		x.heads = make([]int32, size)
+	}
+	heads = x.heads[:size]
+	clear(heads)
+	if cap(x.next) < n {
+		x.next = make([]int32, n)
+	}
+	return heads, x.next[:n], 64 - bits
+}
+
+// hashes computes one 64-bit multi-key hash per row of cols[lo:hi], column
+// at a time, into the executor's reusable buffer.
 func (x *executor) hashes(cols [][]int64, lo, hi int) []uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
 	n := hi - lo
 	if cap(x.hbuf) < n {
 		x.hbuf = make([]uint64, n)
 	}
 	h := x.hbuf[:n]
-	for i := range h {
-		h[i] = offset64
-	}
+	clear(h)
 	for _, c := range cols {
-		seg := c[lo:hi]
-		for i, v := range seg {
-			hv := h[i] ^ uint64(v)
-			h[i] = hv * prime64
+		for i, v := range c[lo:hi] {
+			h[i] = (h[i] ^ uint64(v)) * hashMul
 		}
 	}
 	return h
 }
 
-// hashJoin builds a presized bucket-chained hash table on the smaller input
-// — slot heads plus an int32 next-chain, capacity the next power of two at
-// least twice the build cardinality — and probes the larger side in batches:
-// hash a batch column-at-a-time, walk chains, verify key equality on the raw
-// column vectors (collision safe), and emit match pairs.
-func (x *executor) hashJoin(left, right *Table, preds []pred) (*Table, error) {
+// hashJoin builds a bucket-chained hash table on the smaller input and
+// probes the larger side in batches, verifying key equality on the raw key
+// vectors (collision safe) and emitting match pairs. One predicate — every
+// product-free join of a tree query — takes a kernel that hashes the key
+// with one multiply and compares once per chain entry.
+func (x *executor) hashJoin(left, right *Table, preds []pred) error {
 	buildLeft := left.rows <= right.rows
-	bcols := make([][]int64, len(preds))
-	pcols := make([][]int64, len(preds))
-	for i, p := range preds {
-		if buildLeft {
-			bcols[i], pcols[i] = p.l, p.r
-		} else {
-			bcols[i], pcols[i] = p.r, p.l
-		}
-	}
 	build, probe := left, right
 	if !buildLeft {
 		build, probe = right, left
 	}
-
-	n := build.rows
-	size := 1
-	for size < 2*n {
-		size <<= 1
+	heads, next, shift := x.hashTable(build.rows)
+	// A key join emits about one match per probe row; reserving that much
+	// up front spares the match vectors a dozen doublings.
+	if cap(x.lidx) < probe.rows {
+		x.lidx = make([]int32, 0, probe.rows)
 	}
-	mask := uint64(size - 1)
-	heads := make([]int32, size)
-	for i := range heads {
-		heads[i] = -1
+	if cap(x.ridx) < probe.rows {
+		x.ridx = make([]int32, 0, probe.rows)
 	}
-	next := make([]int32, n)
-	bh := x.hashes(bcols, 0, n)
-	for r := 0; r < n; r++ {
-		slot := bh[r] & mask
-		next[r] = heads[slot]
-		heads[slot] = int32(r)
+	bo, po := x.lidx[:0], x.ridx[:0]
+	if !buildLeft {
+		bo, po = x.ridx[:0], x.lidx[:0]
 	}
-
-	x.lidx, x.ridx = x.lidx[:0], x.ridx[:0]
-	for base := 0; base < probe.rows; base += x.batch {
-		end := min(base+x.batch, probe.rows)
-		ph := x.hashes(pcols, base, end)
-		x.stats.Batches++
-		for r := base; r < end; r++ {
-			for idx := heads[ph[r-base]&mask]; idx >= 0; idx = next[idx] {
-				match := true
-				for k := range bcols {
-					if bcols[k][idx] != pcols[k][r] {
-						match = false
-						break
+	if len(preds) == 1 {
+		bk, pk := preds[0].l, preds[0].r
+		if !buildLeft {
+			bk, pk = pk, bk
+		}
+		for r, v := range bk[:build.rows] {
+			s := uint64(v) * hashMul >> shift
+			next[r] = heads[s]
+			heads[s] = int32(r + 1)
+		}
+		for base := 0; base < probe.rows; base += x.batch {
+			end := min(base+x.batch, probe.rows)
+			x.stats.Batches++
+			for r, v := range pk[base:end] {
+				for i := heads[uint64(v)*hashMul>>shift]; i != 0; i = next[i-1] {
+					if bk[i-1] != v {
+						continue
 					}
+					if len(bo) >= x.maxRows {
+						return engine.ErrRowLimit
+					}
+					bo = append(bo, i-1)
+					po = append(po, int32(base+r))
 				}
-				if !match {
-					continue
-				}
-				var err error
-				if buildLeft {
-					err = x.appendPair(idx, int32(r))
-				} else {
-					err = x.appendPair(int32(r), idx)
-				}
-				if err != nil {
-					return nil, err
+			}
+		}
+	} else {
+		bcols := make([][]int64, len(preds))
+		pcols := make([][]int64, len(preds))
+		for i, p := range preds {
+			bcols[i], pcols[i] = p.l, p.r
+			if !buildLeft {
+				bcols[i], pcols[i] = p.r, p.l
+			}
+		}
+		for r, h := range x.hashes(bcols, 0, build.rows) {
+			s := h >> shift
+			next[r] = heads[s]
+			heads[s] = int32(r + 1)
+		}
+		for base := 0; base < probe.rows; base += x.batch {
+			end := min(base+x.batch, probe.rows)
+			ph := x.hashes(pcols, base, end)
+			x.stats.Batches++
+			for r := base; r < end; r++ {
+			chain:
+				for i := heads[ph[r-base]>>shift]; i != 0; i = next[i-1] {
+					for k := range bcols {
+						if bcols[k][i-1] != pcols[k][r] {
+							continue chain
+						}
+					}
+					if len(bo) >= x.maxRows {
+						return engine.ErrRowLimit
+					}
+					bo = append(bo, i-1)
+					po = append(po, int32(r))
 				}
 			}
 		}
 	}
-	return x.gather(left, right), nil
+	if buildLeft {
+		x.lidx, x.ridx = bo, po
+	} else {
+		x.lidx, x.ridx = po, bo
+	}
+	return nil
 }
 
 // filterSel compacts the selection vector to the right-side rows whose
-// residual predicate columns equal the left row's values.
+// residual predicate keys equal the left row's values.
 func (x *executor) filterSel(preds []pred, lrow int32) {
 	for _, p := range preds {
 		lv := p.l[lrow]
@@ -509,7 +625,7 @@ func (x *executor) filterSel(preds []pred, lrow int32) {
 // batch builds a selection vector from the first predicate and compacts it
 // through the rest, so residual filtering never materializes rejected rows.
 // With no predicates it is the Cartesian product.
-func (x *executor) nestedLoops(left, right *Table, preds []pred) (*Table, error) {
+func (x *executor) nestedLoops(left, right *Table, preds []pred) error {
 	x.lidx, x.ridx = x.lidx[:0], x.ridx[:0]
 	for l := 0; l < left.rows; l++ {
 		for base := 0; base < right.rows; base += x.batch {
@@ -518,7 +634,7 @@ func (x *executor) nestedLoops(left, right *Table, preds []pred) (*Table, error)
 			if len(preds) == 0 {
 				for r := base; r < end; r++ {
 					if err := x.appendPair(int32(l), int32(r)); err != nil {
-						return nil, err
+						return err
 					}
 				}
 				continue
@@ -534,32 +650,32 @@ func (x *executor) nestedLoops(left, right *Table, preds []pred) (*Table, error)
 			x.filterSel(preds[1:], int32(l))
 			for _, r := range x.sel {
 				if err := x.appendPair(int32(l), r); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
 	}
-	return x.gather(left, right), nil
+	return nil
 }
 
-// argsort returns row indices of keys in ascending key order.
-func argsort(keys []int64) []int32 {
-	perm := make([]int32, len(keys))
-	for i := range perm {
-		perm[i] = int32(i)
+// argsort refills perm with the row indices of keys in ascending key order.
+func argsort(perm []int32, keys []int64) []int32 {
+	perm = perm[:0]
+	for i := range keys {
+		perm = append(perm, int32(i))
 	}
-	sort.Slice(perm, func(a, b int) bool { return keys[perm[a]] < keys[perm[b]] })
+	slices.SortFunc(perm, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
 	return perm
 }
 
-// sortMerge sorts both inputs on the first predicate's key (via index
-// permutations — the columns themselves never move) and merges equal-key
-// runs; residual predicates filter each run block through the selection
-// vector.
-func (x *executor) sortMerge(left, right *Table, preds []pred) (*Table, error) {
+// sortMerge sorts both inputs on the first predicate's key (via reused index
+// permutations — the keys themselves never move) and merges equal-key runs;
+// residual predicates filter each run block through the selection vector.
+func (x *executor) sortMerge(preds []pred) error {
 	p0 := preds[0]
-	lp := argsort(p0.l)
-	rp := argsort(p0.r)
+	x.lperm = argsort(x.lperm, p0.l)
+	x.rperm = argsort(x.rperm, p0.r)
+	lp, rp := x.lperm, x.rperm
 	x.lidx, x.ridx = x.lidx[:0], x.ridx[:0]
 	i, j := 0, 0
 	for i < len(lp) && j < len(rp) {
@@ -585,12 +701,12 @@ func (x *executor) sortMerge(left, right *Table, preds []pred) (*Table, error) {
 				x.filterSel(preds[1:], la)
 				for _, rb := range x.sel {
 					if err := x.appendPair(la, rb); err != nil {
-						return nil, err
+						return err
 					}
 				}
 			}
 			i, j = i2, j2
 		}
 	}
-	return x.gather(left, right), nil
+	return nil
 }

@@ -2,7 +2,9 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"blitzsplit/internal/baseline"
@@ -392,5 +394,169 @@ func TestTableColumn(t *testing.T) {
 	}
 	if _, ok := res.Table.Column(ColID{Rel: 9, Name: "id"}); ok {
 		t.Fatal("result table reports a column that cannot exist")
+	}
+}
+
+// TestOpBatchesSumToTotal: each operator records its own batch count, so
+// under CollectOps the per-op counts add up to the run's total.
+func TestOpBatchesSumToTotal(t *testing.T) {
+	inst, cards, g := chainInstance(t, 5, 200, 0.02)
+	p := optimalPlan(t, cards, g)
+	for _, alg := range allAlgorithms {
+		res, err := Run(inst, p, Options{Algorithm: alg, CollectOps: true, BatchSize: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		for _, op := range res.Stats.Ops {
+			if op.Kind == "scan" && op.Batches != 0 {
+				t.Fatalf("%v: scan of %v reports %d batches", alg, op.Set, op.Batches)
+			}
+			sum += op.Batches
+		}
+		if sum != res.Stats.Batches || sum == 0 {
+			t.Fatalf("%v: per-op batches sum to %d, Stats.Batches = %d", alg, sum, res.Stats.Batches)
+		}
+	}
+}
+
+// resultTuples reads a vectorized result back as full tuples through
+// Table.Column over every (relation, column) of the instance, each tuple
+// rendered as a string, and returns them sorted: the result's multiset.
+func resultTuples(t *testing.T, inst *engine.Instance, tab *Table) []string {
+	t.Helper()
+	var cols [][]int64
+	for rel, r := range inst.Relations {
+		for _, name := range r.ColNames() {
+			c, ok := tab.Column(ColID{Rel: rel, Name: name})
+			if !ok {
+				t.Fatalf("result lacks column {%d, %s}", rel, name)
+			}
+			if len(c) != tab.Rows() {
+				t.Fatalf("column {%d, %s} has %d values for %d rows", rel, name, len(c), tab.Rows())
+			}
+			cols = append(cols, c)
+		}
+	}
+	out := make([]string, tab.Rows())
+	row := make([]int64, len(cols))
+	for k := range out {
+		for i, c := range cols {
+			row[i] = c[k]
+		}
+		out[k] = fmt.Sprint(row)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// batchTuples is resultTuples for the row engine's batch, in the same column
+// order.
+func batchTuples(t *testing.T, inst *engine.Instance, b *engine.Batch) []string {
+	t.Helper()
+	var idx []int
+	for rel, r := range inst.Relations {
+		for _, name := range r.ColNames() {
+			i := b.Col(fmt.Sprintf("%d.%s", rel, name))
+			if i < 0 {
+				t.Fatalf("row engine result lacks column %d.%s", rel, name)
+			}
+			idx = append(idx, i)
+		}
+	}
+	out := make([]string, b.Len())
+	row := make([]int64, len(idx))
+	for k, r := range b.Rows {
+		for i, c := range idx {
+			row[i] = r[c]
+		}
+		out[k] = fmt.Sprint(row)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestRunTuplesMatchRowEngine checks late materialization on values, not
+// just counts: on random tree and cyclic queries, every algorithm and the
+// adaptive driver must yield the row engine's result as a multiset of full
+// tuples, read back column by column through Table.Column.
+func TestRunTuplesMatchRowEngine(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(4)
+		extra := 0
+		if trial%2 == 1 {
+			extra = 1 + rng.Intn(2) // cyclic
+		}
+		cards := make([]float64, n)
+		for i := range cards {
+			cards[i] = float64(rng.Intn(13))
+		}
+		g := joingraph.New(n)
+		for _, e := range joingraph.RandomConnectedEdgesRand(n, extra, rng) {
+			if err := g.AddEdge(e[0], e[1], 1/float64(3+rng.Intn(6))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		inst, err := engine.SynthesizeRand(cards, g, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans := []*plan.Node{optimalPlan(t, cards, g), baseline.RandomPlan(cards, g, cost.Naive{}, rng)}
+		for pi, p := range plans {
+			b, err := inst.Execute(p, engine.ExecOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := batchTuples(t, inst, b)
+			check := func(what string, res *Result, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("trial %d plan %d %s: %v", trial, pi, what, err)
+				}
+				if got := resultTuples(t, inst, res.Table); !slices.Equal(got, want) {
+					t.Fatalf("trial %d plan %d %s: %d tuples differ from the row engine's %d",
+						trial, pi, what, len(got), len(want))
+				}
+			}
+			for _, alg := range allAlgorithms {
+				res, err := Run(inst, p, Options{Algorithm: alg, BatchSize: 4})
+				check(alg.String(), res, err)
+			}
+			calls := 0
+			res, err := RunAdaptive(inst, p, Options{}, AdaptiveOptions{Ratio: 1.01, MinRows: 1, Reoptimize: greedyReopt(t, &calls)})
+			check("adaptive", res, err)
+		}
+	}
+}
+
+// TestRunAllocs bounds exec.Run's allocations on a fixed n=6 tree query
+// over fixed data. Late materialization keeps them to a table and a row-id
+// slab per join plus the run's reused scratch, independent of row and column
+// counts (the eager executor made 179 on this query).
+func TestRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	cards := []float64{3000, 800, 5000, 1200, 2500, 600}
+	g := joingraph.New(len(cards))
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {2, 3}, {2, 4}, {4, 5}} {
+		if err := g.AddEdge(e[0], e[1], 1/max(cards[e[0]], cards[e[1]])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inst, err := engine.Synthesize(cards, g, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := optimalPlan(t, cards, g)
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := Run(inst, p, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const limit = 36
+	if allocs > limit {
+		t.Errorf("exec.Run allocated %v times per run, want <= %v", allocs, limit)
 	}
 }
